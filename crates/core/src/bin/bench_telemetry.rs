@@ -33,8 +33,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 fn bench_config() -> ModelConfig {
-    // Same scale as bench_cache: real matmul work per step, seconds-scale
-    // total runtime.
+    // Real matmul work per step, seconds-scale total runtime.
     ModelConfig::tiny()
         .with_layers(8)
         .with_d_model(128, 4)

@@ -241,6 +241,39 @@ mod tests {
     }
 
     #[test]
+    fn packed_serving_policy_keeps_one_weight_form_per_layer() {
+        // d128 x 8 serving model under the LUC policy `adapt` chose, with
+        // asymmetric W8 activations: the W2/W4/W8 layers take the integer
+        // route, the W16 layers stay dense f32.
+        let mut rng = TensorRng::seed_from(1);
+        let cfg = ModelConfig::edge_base().with_seq_len(256);
+        let mut m = EdgeModel::new(cfg, &mut rng).unwrap();
+        let policy =
+            CompressionPolicy::parse_compact("8:0,2:0,16:0.75,16:0.5,2:0,2:0,2:0,4:0").unwrap();
+        apply_policy(&mut m, &policy).unwrap();
+        apply_activation_quant(&mut m, Some(QuantScheme::asymmetric(BitWidth::W8))).unwrap();
+        m.pack_frozen_weights().unwrap();
+        assert_eq!(m.decode_weight_bytes(), 2_141_184);
+        // each integer-eligible layer holds exactly its transposed
+        // integer-GEMM operand, with no row-dequant copy beside it
+        let mut eligible = 0;
+        for layer in 0..m.n_layers() {
+            for_each_linear(&mut m, layer, &mut |lin| {
+                if let Some((ws, _)) = lin.int_decode_schemes() {
+                    let operand =
+                        edge_llm_quant::QuantizedTensor::quantize(&lin.weight().transpose(), ws)
+                            .unwrap();
+                    assert_eq!(lin.weight_storage_bytes(), operand.storage_bytes());
+                    eligible += 1;
+                }
+                Ok(())
+            })
+            .unwrap();
+        }
+        assert_eq!(eligible, 6 * 4);
+    }
+
+    #[test]
     fn clear_removes_quant_hooks() {
         let mut m = model();
         apply_policy(&mut m, &CompressionPolicy::uniform(2, BitWidth::W2, 0.0)).unwrap();

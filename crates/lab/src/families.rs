@@ -11,8 +11,8 @@
 //!   `timing.json` sidecar and are only ever gated with tolerance bands.
 //!
 //! The families mirror the `bench_spec` / `bench_tenants` /
-//! `bench_fleet` / `bench_igemm` scenarios so committed experiment specs
-//! can reproduce the BENCH_* headline numbers declaratively; scales are
+//! `bench_fleet` scenarios so committed experiment specs can reproduce
+//! the BENCH_* headline numbers declaratively; scales are
 //! parameters, so the same driver serves both the verify-tier smoke spec
 //! and the full bench-scale specs under `experiments/`.
 
@@ -572,7 +572,6 @@ const IGEMM_KEYS: &[&str] = &[
     "seq_len",
     "bits",
     "sparsity",
-    "integer",
     "pack",
     "decode_tokens",
 ];
@@ -582,13 +581,13 @@ fn run_igemm(seed: u64, params: &Json) -> Result<TrialResult, LabError> {
     let cfg = model_config(params, (4, 64, 4, 4))?;
     let bits = p_bits(params, "bits", BitWidth::W4)?;
     let sparsity = p_f32(params, "sparsity", 0.25)?;
-    let integer = p_bool(params, "integer", true)?;
     let pack = p_bool(params, "pack", true)?;
     let n_tokens = p_usize(params, "decode_tokens", 32)?;
 
-    // No model cache here: the datapath knobs (integer, pack) live on
-    // the model itself, and building an uncompressed tiny model is
-    // milliseconds — caching would key on the knobs anyway.
+    // No model cache here: packing lives on the model itself, and
+    // building an uncompressed tiny model is milliseconds — caching would
+    // key on the knob anyway. The decode route follows from `bits`:
+    // W8 or narrower takes the integer GEMM, W16 the dense f32 route.
     let mut rng = TensorRng::seed_from(seed);
     let mut model = EdgeModel::new(cfg.clone(), &mut rng).map_err(trial)?;
     apply_policy(
@@ -598,7 +597,6 @@ fn run_igemm(seed: u64, params: &Json) -> Result<TrialResult, LabError> {
     .map_err(trial)?;
     apply_activation_quant(&mut model, Some(QuantScheme::asymmetric(BitWidth::W8)))
         .map_err(trial)?;
-    model.set_integer_decode_enabled(integer);
     if pack {
         model.pack_frozen_weights().map_err(trial)?;
     }
@@ -607,7 +605,7 @@ fn run_igemm(seed: u64, params: &Json) -> Result<TrialResult, LabError> {
     session.push_token(0).map_err(trial)?;
     // The argmax stream fingerprints the route's numerics: packed vs
     // lazy on the same route must agree exactly (decode_equivalence
-    // pins this); integer vs dequant differ by quantization grid and
+    // pins this); different bit-widths differ by quantization grid and
     // are deliberately NOT compared.
     let mut argmaxes = Vec::with_capacity(n_tokens);
     let t0 = Instant::now();
@@ -644,6 +642,7 @@ mod tests {
             (Family::Tenants, r#"{"warp": 1}"#),
             (Family::Fleet, r#"{"warp": 1}"#),
             (Family::Igemm, r#"{"warp": 1}"#),
+            (Family::Igemm, r#"{"integer": true}"#),
         ] {
             let err = run_family(family, 1, &obj(text)).unwrap_err();
             assert!(matches!(err, LabError::Spec(_)), "{family:?}");

@@ -88,8 +88,9 @@ pub enum Family {
     /// Sharded fleet over a seeded traffic scenario (the `bench_fleet`
     /// scenario, BENCH_6).
     Fleet,
-    /// Integer vs row-dequant packed decode datapath (the `bench_igemm`
-    /// scenario, BENCH_9).
+    /// Packed decode throughput per weight bit-width on the route each
+    /// layer's schemes derive (integer GEMM at W8 or narrower, dense f32
+    /// at W16).
     Igemm,
 }
 

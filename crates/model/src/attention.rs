@@ -290,19 +290,6 @@ impl Attention {
         self.proj.pack_weights()
     }
 
-    /// Enables or disables the compressed-weight cache on both projections.
-    pub fn set_cache_enabled(&mut self, enabled: bool) {
-        self.qkv.set_cache_enabled(enabled);
-        self.proj.set_cache_enabled(enabled);
-    }
-
-    /// Enables or disables the packed integer-GEMM decode route on both
-    /// projections.
-    pub fn set_integer_decode_enabled(&mut self, enabled: bool) {
-        self.qkv.set_integer_decode_enabled(enabled);
-        self.proj.set_integer_decode_enabled(enabled);
-    }
-
     /// Bytes the decode path keeps resident for the projections' weights.
     pub fn weight_storage_bytes(&self) -> usize {
         self.qkv.weight_storage_bytes() + self.proj.weight_storage_bytes()

@@ -200,19 +200,6 @@ impl Block {
         self.mlp.pack_weights()
     }
 
-    /// Enables or disables the compressed-weight cache on every projection.
-    pub fn set_cache_enabled(&mut self, enabled: bool) {
-        self.attn.set_cache_enabled(enabled);
-        self.mlp.set_cache_enabled(enabled);
-    }
-
-    /// Enables or disables the packed integer-GEMM decode route on every
-    /// projection.
-    pub fn set_integer_decode_enabled(&mut self, enabled: bool) {
-        self.attn.set_integer_decode_enabled(enabled);
-        self.mlp.set_integer_decode_enabled(enabled);
-    }
-
     /// Bytes the decode path keeps resident for this block's projection
     /// weights.
     pub fn weight_storage_bytes(&self) -> usize {

@@ -30,8 +30,20 @@ use std::sync::{Arc, OnceLock};
 /// almost all of the time (only the layers inside the adaptive tuning
 /// window change per iteration, and at inference nothing changes at all).
 /// The layer therefore keeps a lazily-populated cache of its effective
-/// weight, plus — after [`Linear::pack_weights`] — the weight as packed
-/// integer codes routed through a blocked row-dequantizing kernel.
+/// weight, plus — after [`Linear::pack_weights`] — one packed-code form of
+/// the weight for the no-cache (decode) paths.
+///
+/// # Decode route
+///
+/// The route a no-cache forward takes is a pure function of the layer's
+/// own state; nothing outside the layer selects it:
+///
+/// * no weight scheme — the stored f32 weight;
+/// * integer-eligible ([`Linear::int_decode_schemes`]) — the packed
+///   integer GEMM on the transposed per-output-channel codes;
+/// * any other weight scheme, packed — the blocked row-dequantizing
+///   kernel over the row codes (the memory-budget route);
+/// * any other weight scheme, unpacked — the cached fake-quant weight.
 ///
 /// Every mutation path (`visit_params`, `set_mask` / `set_quant` /
 /// `set_activation_quant`, `enforce_mask` when it actually changes a
@@ -48,8 +60,6 @@ pub struct Linear {
     quant: Option<QuantScheme>,
     act_quant: Option<QuantScheme>,
     wcache: WeightCache,
-    cache_enabled: bool,
-    int_decode_enabled: bool,
     counters: CacheCounters,
 }
 
@@ -85,12 +95,13 @@ struct WeightCache {
     dense: OnceLock<Arc<Tensor>>,
     /// The weight as packed integer codes (decode/serving path); holds the
     /// layer's resident weight bytes at the LUC policy's bit-width ratio.
+    /// For layers eligible for the integer decode route (see
+    /// [`Linear::int_decode_schemes`]) these are the masked *transposed*
+    /// weight's codes (one symmetric scale per **output channel**), the
+    /// operand of the packed integer GEMM; otherwise the row codes of the
+    /// stored orientation. Every scheme change clears the cell, so the
+    /// form always matches the layer's current eligibility.
     packed: OnceLock<Arc<QuantizedTensor>>,
-    /// The masked *transposed* weight as packed codes (one symmetric
-    /// scale per **output channel**) — the operand of the packed integer
-    /// GEMM. Populated only for layers eligible for the integer decode
-    /// route (see [`Linear::int_decode_schemes`]).
-    packed_t: OnceLock<Arc<QuantizedTensor>>,
 }
 
 /// Activations cached by [`Linear::forward`] for the backward pass.
@@ -120,8 +131,6 @@ impl Linear {
             quant: None,
             act_quant: None,
             wcache: WeightCache::default(),
-            cache_enabled: true,
-            int_decode_enabled: true,
             counters: CacheCounters::default(),
         }
     }
@@ -210,37 +219,6 @@ impl Linear {
         self.quant
     }
 
-    /// Enables or disables the compressed-weight cache (enabled by
-    /// default). Disabling recomputes the effective weight on every
-    /// forward call — the recompute-every-time baseline the benchmarks
-    /// compare against; results are bit-identical either way.
-    pub fn set_cache_enabled(&mut self, enabled: bool) {
-        self.cache_enabled = enabled;
-        if !enabled {
-            self.invalidate_weight_cache();
-        }
-    }
-
-    /// Whether the compressed-weight cache is enabled.
-    pub fn cache_enabled(&self) -> bool {
-        self.cache_enabled
-    }
-
-    /// Enables or disables the packed integer-GEMM decode route (enabled
-    /// by default). Disabling falls back to the f32 routes
-    /// (fake-quantized activations x dequantized weight panels) — the
-    /// baseline the decode benchmarks compare against. The flag is a
-    /// route selector only: it never invalidates caches, and layers
-    /// outside [`Linear::int_decode_schemes`] eligibility ignore it.
-    pub fn set_integer_decode_enabled(&mut self, enabled: bool) {
-        self.int_decode_enabled = enabled;
-    }
-
-    /// Whether the packed integer-GEMM decode route is enabled.
-    pub fn integer_decode_enabled(&self) -> bool {
-        self.int_decode_enabled
-    }
-
     /// The `(weight, activation)` schemes of the integer decode route, or
     /// `None` when this layer stays on the f32 paths.
     ///
@@ -250,18 +228,10 @@ impl Linear {
     /// models a fully integer datapath. Weight-only or activation-only
     /// layers keep their existing f32 routes bit-for-bit.
     pub fn int_decode_schemes(&self) -> Option<(QuantScheme, QuantScheme)> {
-        if !self.int_decode_enabled {
-            return None;
-        }
         match (self.quant, self.act_quant) {
             (Some(w), Some(a)) if packed_gemm_supported(w, a) => Some((w, a)),
             _ => None,
         }
-    }
-
-    /// Whether the transposed integer-GEMM weight is currently packed.
-    pub fn is_int_packed(&self) -> bool {
-        self.wcache.packed_t.get().is_some()
     }
 
     /// Whether a dense effective weight is currently cached (test hook for
@@ -270,7 +240,8 @@ impl Linear {
         self.wcache.dense.get().is_some()
     }
 
-    /// Whether the weight is held as packed integer codes.
+    /// Whether the weight is held as packed integer codes (the transposed
+    /// integer-GEMM operand for eligible layers, the row codes otherwise).
     pub fn is_packed(&self) -> bool {
         self.wcache.packed.get().is_some()
     }
@@ -279,21 +250,16 @@ impl Linear {
     /// the packed codes plus group metadata once [`Linear::pack_weights`]
     /// has run, the dense f32 weight otherwise.
     pub fn weight_storage_bytes(&self) -> usize {
-        let packed_t = self.wcache.packed_t.get().map_or(0, |q| q.storage_bytes());
-        match self.wcache.packed.get() {
-            Some(q) => q.storage_bytes() + packed_t,
-            None if packed_t > 0 => packed_t,
-            None => self.w.len() * 4,
-        }
+        self.wcache
+            .packed
+            .get()
+            .map_or(self.w.len() * 4, |q| q.storage_bytes())
     }
 
     fn invalidate_weight_cache(&mut self) {
-        let had_cached = self.wcache.dense.get().is_some()
-            || self.wcache.packed.get().is_some()
-            || self.wcache.packed_t.get().is_some();
+        let had_cached = self.wcache.dense.get().is_some() || self.wcache.packed.get().is_some();
         self.wcache.dense.take();
         self.wcache.packed.take();
-        self.wcache.packed_t.take();
         if had_cached {
             self.counters.invalidations.fetch_add(1, Ordering::Relaxed);
         }
@@ -311,10 +277,12 @@ impl Linear {
         self.counters.invalidations.load(Ordering::Relaxed)
     }
 
-    /// Quantizes the weight into packed integer codes so the no-cache
-    /// forward paths (inference, serving) run the blocked row-dequantizing
-    /// kernel instead of materializing the dense effective weight. A no-op
-    /// for layers without a quant scheme, with the cache disabled, or when
+    /// Quantizes the weight into its one packed-code form so the no-cache
+    /// forward paths (inference, serving) never materialize the dense
+    /// effective weight: the transposed integer-GEMM operand for eligible
+    /// layers (built here so serving never pays for it on the first
+    /// token), the row codes for the blocked row-dequantizing kernel
+    /// otherwise. A no-op for layers without a quant scheme or when
     /// already packed.
     ///
     /// # Errors
@@ -325,20 +293,12 @@ impl Linear {
         let Some(scheme) = self.quant else {
             return Ok(());
         };
-        if !self.cache_enabled {
-            return Ok(());
-        }
         if self.wcache.packed.get().is_none() {
-            let q = Arc::new(QuantizedTensor::quantize(&self.w, scheme)?);
-            let _ = self.wcache.packed.set(q);
-        }
-        // Eligible layers additionally pack the transposed integer-GEMM
-        // operand so serving never pays the build on the first token.
-        if let Some((ws, _)) = self.int_decode_schemes() {
-            if self.wcache.packed_t.get().is_none() {
-                let q = Arc::new(self.int_weight(ws)?);
-                let _ = self.wcache.packed_t.set(q);
-            }
+            let q = match self.int_decode_schemes() {
+                Some((ws, _)) => self.int_weight(ws)?,
+                None => QuantizedTensor::quantize(&self.w, scheme)?,
+            };
+            let _ = self.wcache.packed.set(Arc::new(q));
         }
         Ok(())
     }
@@ -383,28 +343,20 @@ impl Linear {
     /// bit-identical to the same row decoded solo — the property batched
     /// serving, speculative draft/verify chunks, and per-row adapter
     /// deltas all lean on), then multiplied directly against the packed
-    /// transposed weight words. With the cache enabled the packed operand
-    /// is built at most once per mutation; with it disabled the operand
-    /// is rebuilt fresh each call — both feed the identical kernel, so
-    /// the routes are bit-identical by construction.
+    /// transposed weight words, built at most once per mutation.
     fn integer_decode_matmul(&self, x: &Tensor) -> Result<Option<Tensor>, ModelError> {
         let Some((ws, act)) = self.int_decode_schemes() else {
             return Ok(None);
         };
         let x_q = quantize_activations(x, act)?;
-        let y = if self.cache_enabled {
-            match self.wcache.packed_t.get() {
-                Some(q) => packed_decode_matmul(&x_q, q, 0)?,
-                None => {
-                    let q = Arc::new(self.int_weight(ws)?);
-                    let q = self.wcache.packed_t.get_or_init(|| q);
-                    packed_decode_matmul(&x_q, q, 0)?
-                }
+        let q = match self.wcache.packed.get() {
+            Some(q) => q,
+            None => {
+                let q = Arc::new(self.int_weight(ws)?);
+                self.wcache.packed.get_or_init(|| q)
             }
-        } else {
-            packed_decode_matmul(&x_q, &self.int_weight(ws)?, 0)?
         };
-        Ok(Some(y))
+        Ok(Some(packed_decode_matmul(&x_q, q, 0)?))
     }
 
     /// The weight actually used by the forward pass (masked and, when a
@@ -429,14 +381,14 @@ impl Linear {
 
     /// [`Linear::effective_weight`] through the cache: computed at most
     /// once per mutation, shared via `Arc`. Falls back to a fresh
-    /// computation when the cache is disabled (or no scheme is installed,
-    /// where the cache would only duplicate the stored weight).
+    /// computation when no scheme is installed, where the cache would only
+    /// duplicate the stored weight.
     ///
     /// # Errors
     ///
     /// Returns [`ModelError::Compression`] if fake quantization fails.
     pub fn cached_effective_weight(&self) -> Result<Arc<Tensor>, ModelError> {
-        if self.quant.is_none() || !self.cache_enabled {
+        if self.quant.is_none() {
             return Ok(Arc::new(self.effective_weight()?.into_owned()));
         }
         if let Some(w) = self.wcache.dense.get() {
@@ -477,7 +429,7 @@ impl Linear {
     /// activation quantization, see [`Linear::int_decode_schemes`]) run
     /// the packed integer GEMM; otherwise the packed f32 decode path when
     /// [`Linear::pack_weights`] has run, the dense cache otherwise; every
-    /// route is bit-identical to its own cache-disabled recompute.
+    /// route is bit-identical to a fresh recompute of its own operand.
     ///
     /// # Errors
     ///
@@ -552,21 +504,19 @@ impl Linear {
         }
     }
 
-    /// `x · W_eff` for the no-cache paths: packed codes through the blocked
-    /// row-dequantizing kernel when available, the cached dense effective
-    /// weight otherwise, and a fresh recompute when the cache is disabled.
+    /// `x · W_eff` for the no-cache f32 paths: row codes through the
+    /// blocked row-dequantizing kernel when packed, the cached dense
+    /// effective weight otherwise. Integer-eligible layers never get here
+    /// (their packed cell holds the transposed integer operand).
     fn matmul_effective(&self, x: &Tensor) -> Result<Tensor, ModelError> {
         if self.quant.is_none() {
             return Ok(x.matmul(&self.w)?);
         }
-        if self.cache_enabled {
-            if let Some(q) = self.wcache.packed.get() {
-                return self.packed_matmul(x, q);
-            }
-            let w = self.cached_effective_weight()?;
-            return Ok(x.matmul(w.as_ref())?);
+        debug_assert!(self.int_decode_schemes().is_none());
+        if let Some(q) = self.wcache.packed.get() {
+            return self.packed_matmul(x, q);
         }
-        let w = self.effective_weight()?;
+        let w = self.cached_effective_weight()?;
         Ok(x.matmul(w.as_ref())?)
     }
 
@@ -929,10 +879,9 @@ mod tests {
             assert!(l.is_packed());
             let packed = l.forward_no_cache(&x).unwrap();
             assert_eq!(dense.as_slice(), packed.as_slice(), "{bits}");
-            // and bit-identical to the disabled-cache baseline
-            l.set_cache_enabled(false);
-            let baseline = l.forward_no_cache(&x).unwrap();
-            assert_eq!(baseline.as_slice(), packed.as_slice(), "{bits} baseline");
+            // and bit-identical to a fresh recompute of the effective weight
+            let fresh = l.add_bias(x.matmul(&l.effective_weight().unwrap()).unwrap());
+            assert_eq!(fresh.unwrap().as_slice(), packed.as_slice(), "{bits} fresh");
         }
     }
 
@@ -956,22 +905,25 @@ mod tests {
             let mut l = Linear::new(40, 24, &mut rng);
             l.set_mask(Some(magnitude_prune(l.weight(), 0.4).unwrap()))
                 .unwrap();
-            l.set_quant(Some(QuantScheme::symmetric(bits)));
-            l.set_activation_quant(Some(QuantScheme::asymmetric(BitWidth::W8)));
+            let ws = QuantScheme::symmetric(bits);
+            let act = QuantScheme::asymmetric(BitWidth::W8);
+            l.set_quant(Some(ws));
+            l.set_activation_quant(Some(act));
             assert!(l.int_decode_schemes().is_some());
             let x = Tensor::randn(3, 40, 1.0, &mut rng);
             // lazy cache build
             let lazy = l.forward_no_cache(&x).unwrap();
-            assert!(l.is_int_packed());
-            // explicit pack, solo row, batched rows — all the same kernel
+            assert!(l.is_packed());
+            // cached operand, solo row, batched rows — all the same kernel
             let packed = l.forward_no_cache(&x).unwrap();
             assert_eq!(lazy.as_slice(), packed.as_slice(), "{bits}");
             let rows = l.forward_rows_no_cache(&x).unwrap();
             assert_eq!(lazy.as_slice(), rows.as_slice(), "{bits} rows");
-            // cache-disabled route rebuilds the operand fresh every call
-            l.set_cache_enabled(false);
-            let fresh = l.forward_no_cache(&x).unwrap();
-            assert_eq!(lazy.as_slice(), fresh.as_slice(), "{bits} no-cache");
+            // a freshly rebuilt operand through the same kernel
+            let x_q = quantize_activations(&x, act).unwrap();
+            let y = packed_decode_matmul(&x_q, &l.int_weight(ws).unwrap(), 0).unwrap();
+            let fresh = l.add_bias(y).unwrap();
+            assert_eq!(lazy.as_slice(), fresh.as_slice(), "{bits} fresh");
         }
     }
 
@@ -991,45 +943,34 @@ mod tests {
     }
 
     #[test]
-    fn integer_decode_knob_reverts_to_f32_route() {
-        let mut rng = TensorRng::seed_from(20);
-        let mut l = Linear::new(24, 12, &mut rng);
-        l.set_quant(Some(QuantScheme::symmetric(BitWidth::W4)));
-        l.set_activation_quant(Some(QuantScheme::asymmetric(BitWidth::W8)));
-        let x = Tensor::randn(2, 24, 1.0, &mut rng);
-        let int_y = l.forward_no_cache(&x).unwrap();
-        assert!(l.is_int_packed());
-        l.set_integer_decode_enabled(false);
-        assert!(l.int_decode_schemes().is_none());
-        // f32 fallback: fake-quantized activations x cached dense weight
-        let f32_y = l.forward_no_cache(&x).unwrap();
-        let x_hat = fake_quant(&x, QuantScheme::asymmetric(BitWidth::W8)).unwrap();
-        let expect = x_hat.matmul(&l.effective_weight().unwrap()).unwrap();
-        assert_eq!(f32_y.as_slice(), expect.as_slice());
-        // the two grids agree to quantization error, not bitwise
-        let rel = edge_llm_tensor::l2_norm(&int_y.sub(&f32_y).unwrap())
-            / edge_llm_tensor::l2_norm(&f32_y).max(1e-6);
-        assert!(rel < 0.3, "grid divergence too large: rel {rel}");
-        // W16 activations are never eligible (i32 lane budget)
-        l.set_integer_decode_enabled(true);
-        l.set_activation_quant(Some(QuantScheme::asymmetric(BitWidth::W16)));
-        assert!(l.int_decode_schemes().is_none());
-    }
-
-    #[test]
     fn mutations_invalidate_int_packed_weight() {
         let mut rng = TensorRng::seed_from(21);
-        let mut l = Linear::new(8, 8, &mut rng);
-        l.set_quant(Some(QuantScheme::symmetric(BitWidth::W4)));
+        let mut l = Linear::new(16, 8, &mut rng);
+        let ws = QuantScheme::symmetric(BitWidth::W4);
+        l.set_quant(Some(ws));
         l.set_activation_quant(Some(QuantScheme::asymmetric(BitWidth::W8)));
         l.pack_weights().unwrap();
-        assert!(l.is_packed() && l.is_int_packed());
+        // one packed form: the transposed integer operand, no row copy
+        let int_bytes = l.int_weight(ws).unwrap().storage_bytes();
+        let row_bytes = QuantizedTensor::quantize(l.weight(), ws)
+            .unwrap()
+            .storage_bytes();
+        assert_ne!(int_bytes, row_bytes);
+        assert!(l.is_packed());
+        assert_eq!(l.weight_storage_bytes(), int_bytes);
         let _ = l.weight_mut();
-        assert!(!l.is_int_packed(), "weight_mut must drop packed_t");
+        assert!(!l.is_packed(), "weight_mut must drop the packed operand");
         l.pack_weights().unwrap();
-        assert!(l.is_int_packed());
+        assert!(l.is_packed());
         l.visit_params(&mut |_, _| {});
-        assert!(!l.is_int_packed(), "visit_params must drop packed_t");
+        assert!(!l.is_packed(), "visit_params must drop the packed operand");
+        // losing eligibility repacks as row codes for the f32 route
+        l.set_activation_quant(None);
+        l.pack_weights().unwrap();
+        assert_eq!(l.weight_storage_bytes(), row_bytes);
+        // W16 activations are never eligible (i32 lane budget)
+        l.set_activation_quant(Some(QuantScheme::asymmetric(BitWidth::W16)));
+        assert!(l.int_decode_schemes().is_none());
     }
 
     #[test]

@@ -134,19 +134,6 @@ impl Mlp {
         self.fc2.pack_weights()
     }
 
-    /// Enables or disables the compressed-weight cache on both projections.
-    pub fn set_cache_enabled(&mut self, enabled: bool) {
-        self.fc1.set_cache_enabled(enabled);
-        self.fc2.set_cache_enabled(enabled);
-    }
-
-    /// Enables or disables the packed integer-GEMM decode route on both
-    /// projections.
-    pub fn set_integer_decode_enabled(&mut self, enabled: bool) {
-        self.fc1.set_integer_decode_enabled(enabled);
-        self.fc2.set_integer_decode_enabled(enabled);
-    }
-
     /// Bytes the decode path keeps resident for the projections' weights.
     pub fn weight_storage_bytes(&self) -> usize {
         self.fc1.weight_storage_bytes() + self.fc2.weight_storage_bytes()

@@ -635,40 +635,6 @@ impl EdgeModel {
         Ok(())
     }
 
-    /// Enables or disables the compressed-weight cache on every projection
-    /// (enabled by default). Disabling reproduces the
-    /// recompute-every-forward baseline bit-for-bit; the benchmarks use it
-    /// to measure the cache's win.
-    pub fn set_weight_cache_enabled(&mut self, enabled: bool) {
-        for b in &mut self.blocks {
-            b.set_cache_enabled(enabled);
-        }
-        self.shared_head.set_cache_enabled(enabled);
-        for e in &mut self.exits {
-            if let Some(h) = &mut e.head {
-                h.set_cache_enabled(enabled);
-            }
-        }
-    }
-
-    /// Enables or disables the packed integer-GEMM decode route on every
-    /// projection (enabled by default). Only layers carrying both a
-    /// symmetric per-row weight scheme and an asymmetric per-row
-    /// activation scheme at ≤ 8 bits are affected; disabling reproduces
-    /// the f32 row-dequantizing baseline the decode benchmark gates
-    /// against.
-    pub fn set_integer_decode_enabled(&mut self, enabled: bool) {
-        for b in &mut self.blocks {
-            b.set_integer_decode_enabled(enabled);
-        }
-        self.shared_head.set_integer_decode_enabled(enabled);
-        for e in &mut self.exits {
-            if let Some(h) = &mut e.head {
-                h.set_integer_decode_enabled(enabled);
-            }
-        }
-    }
-
     /// Bytes the decode path keeps resident for projection weights (block
     /// QKV/proj/fc1/fc2 plus unembedding heads): packed-code bytes for
     /// packed layers, dense f32 bytes otherwise. Embeddings and norms are
@@ -917,10 +883,15 @@ mod tests {
         assert!(model.block(0).attn().linears().0.is_packed());
         let packed = model.logits(&tokens, 1).unwrap();
         assert_eq!(dense.as_slice(), packed.as_slice());
-        // and identical to the cache-disabled recompute baseline
-        model.set_weight_cache_enabled(false);
-        let baseline = model.logits(&tokens, 1).unwrap();
-        assert_eq!(baseline.as_slice(), packed.as_slice());
+        // and identical to a fresh recompute: `weight_mut` drops every
+        // cached form, so the next pass rebuilds from the stored weights
+        for l in 0..model.n_layers() {
+            let b = model.block_mut(l);
+            let _ = b.attn_mut().qkv_mut().weight_mut();
+            let _ = b.mlp_mut().fc1_mut().weight_mut();
+        }
+        let fresh = model.logits(&tokens, 1).unwrap();
+        assert_eq!(fresh.as_slice(), packed.as_slice());
     }
 
     #[test]
@@ -951,6 +922,40 @@ mod tests {
             "packed {blocks_packed} vs dense {blocks_dense}"
         );
         assert!(model.decode_weight_bytes() < before);
+    }
+
+    #[test]
+    fn layerwise_policy_packs_to_pinned_resident_bytes() {
+        // 8 layers at d128 under a layer-wise LUC policy: W4 at 0.25
+        // sparsity on the lower half, W2 at 0.5 on the upper half.
+        use edge_llm_prune::magnitude_prune;
+        use edge_llm_quant::{BitWidth, QuantScheme};
+        let cfg = ModelConfig::tiny()
+            .with_layers(8)
+            .with_d_model(128, 4)
+            .with_seq_len(4);
+        let mut rng = TensorRng::seed_from(42);
+        let mut model = EdgeModel::new(cfg, &mut rng).unwrap();
+        for l in 0..model.n_layers() {
+            let (bits, ratio) = if l < 4 {
+                (BitWidth::W4, 0.25)
+            } else {
+                (BitWidth::W2, 0.5)
+            };
+            let compress = |lin: &mut Linear| {
+                lin.set_mask(Some(magnitude_prune(lin.weight(), ratio).unwrap()))
+                    .unwrap();
+                lin.set_quant(Some(QuantScheme::symmetric(bits)));
+            };
+            let b = model.block_mut(l);
+            compress(b.attn_mut().qkv_mut());
+            compress(b.attn_mut().proj_mut());
+            compress(b.mlp_mut().fc1_mut());
+            compress(b.mlp_mut().fc2_mut());
+        }
+        assert_eq!(model.decode_weight_bytes(), 6_307_840);
+        model.pack_frozen_weights().unwrap();
+        assert_eq!(model.decode_weight_bytes(), 634_880);
     }
 
     #[test]

@@ -39,6 +39,18 @@ fn tokens_for(model: &EdgeModel, seed: u64) -> Vec<usize> {
         .collect()
 }
 
+/// Drops every block projection's cached forms through `weight_mut`, so
+/// the next forward pass recomputes them from the stored weights.
+fn drop_cached_forms(model: &mut EdgeModel) {
+    for l in 0..model.n_layers() {
+        let b = model.block_mut(l);
+        let _ = b.attn_mut().qkv_mut().weight_mut();
+        let _ = b.attn_mut().proj_mut().weight_mut();
+        let _ = b.mlp_mut().fc1_mut().weight_mut();
+        let _ = b.mlp_mut().fc2_mut().weight_mut();
+    }
+}
+
 /// Every quantized projection's cache must equal a fresh recompute, bit
 /// for bit.
 fn assert_caches_fresh(model: &EdgeModel, context: &str) {
@@ -79,11 +91,11 @@ fn optimizer_steps_keep_caches_fresh() {
 #[test]
 fn cached_adaptation_is_bit_identical_to_uncached() {
     // The whole-flow differential: same seed, same data, one model with
-    // the cache and one recomputing every forward. Logits must agree
-    // exactly after every iteration.
+    // the cache and one whose cached forms are dropped before every step
+    // and every logits call, so it recomputes them fresh. Logits must
+    // agree exactly after every iteration.
     let mut cached = quantized_model(3);
     let mut baseline = quantized_model(3);
-    baseline.set_weight_cache_enabled(false);
     let tokens = tokens_for(&cached, 4);
     let mut opt_a = Sgd::with_momentum(0.05, 0.9);
     let mut opt_b = Sgd::with_momentum(0.05, 0.9);
@@ -93,11 +105,13 @@ fn cached_adaptation_is_bit_identical_to_uncached() {
         let ra = tuner_a
             .step(&mut cached, &mut opt_a, &tokens, &tokens, 1)
             .unwrap();
+        drop_cached_forms(&mut baseline);
         let rb = tuner_b
             .step(&mut baseline, &mut opt_b, &tokens, &tokens, 1)
             .unwrap();
         assert_eq!(ra.loss.to_bits(), rb.loss.to_bits(), "loss at step {it}");
         let la = cached.logits(&tokens, 1).unwrap();
+        drop_cached_forms(&mut baseline);
         let lb = baseline.logits(&tokens, 1).unwrap();
         assert_eq!(la.as_slice(), lb.as_slice(), "logits at step {it}");
     }

@@ -48,6 +48,17 @@
 //! in either width, so the `i16` path is bit-identical to the scalar
 //! oracle too; it is why W2 decode outruns W4 rather than merely tying
 //! it.
+//!
+//! # ISA instances
+//!
+//! The workspace builds for baseline x86-64, where the lane MACs lower to
+//! SSE2 with emulated 32-bit multiplies. The panel loop is therefore one
+//! `#[inline(always)]` source compiled twice — a portable instance and an
+//! AVX2 instance — and each output panel runs the AVX2 one when
+//! [`edge_llm_tensor::lanes::avx2_detected`] says the CPU has it. Both
+//! compute the same exact integer sums and the same single f32 rescale
+//! (no FMA contraction, no reassociation), so the choice never changes a
+//! bit of the output.
 
 use crate::affine::{fit_group, QuantizedTensor};
 use crate::bitwidth::BitWidth;
@@ -55,6 +66,7 @@ use crate::scheme::{Granularity, QuantMode, QuantScheme};
 use crate::QuantError;
 use edge_llm_tensor::lanes::{mac_i16_lanes, mac_i32_lanes};
 use edge_llm_tensor::{pool, Tensor};
+use std::ops::Range;
 
 /// Packed words accumulated in `i32` lanes between spills to the `i64`
 /// total. At ≤17-bit products and ≤16 codes per word a lane absorbs
@@ -206,43 +218,101 @@ pub fn packed_decode_matmul(
     if out.is_empty() {
         return Ok(out);
     }
-    // W2 rows run the 16-lane i16 kernel: re-express the centred codes as
-    // i16 once per call (lossless — |cx| <= 255 at <= 8 activation bits).
-    let is_w2 = w_q.scheme().bits == BitWidth::W2;
-    let codes16: Vec<i16> = if is_w2 {
-        x_q.codes.iter().map(|&c| c as i16).collect()
-    } else {
-        Vec::new()
-    };
-    let row16 = |i: usize| -> Option<&[i16]> { is_w2.then(|| &codes16[i * k..(i + 1) * k]) };
+    let g = Gemm::new(x_q, w_q, k, half);
+    // The instance is picked inside each panel closure: the pool runs the
+    // closure as its own function (on worker threads too), so a
+    // `#[target_feature]` wrapper around this whole call would not reach
+    // the lane loops.
     if m == 1 {
-        let xr = x_q.row(0);
-        let x16 = row16(0);
-        let (sx, s0) = (x_q.row_scale[0], x_q.row_csum[0]);
         let workers = pool::matmul_workers(threads, n, k, 1);
         pool::parallel_rows_mut(out.as_mut_slice(), n, 1, workers, |j0, panel| {
-            for (dj, slot) in panel.iter_mut().enumerate() {
-                let j = j0 + dj;
-                let s1 = row_dot(w_q, j, k, xr, x16);
-                *slot = ((s1 - half * s0) as f32) * (sx * w_q.scale(j));
-            }
+            gemm_panel(&g, 0..1, j0..j0 + panel.len(), panel);
         });
     } else {
         let workers = pool::matmul_workers(threads, m, k, n);
         pool::parallel_rows_mut(out.as_mut_slice(), m, n, workers, |i0, panel| {
-            for (r, orow) in panel.chunks_mut(n).enumerate() {
-                let i = i0 + r;
-                let xr = x_q.row(i);
-                let x16 = row16(i);
-                let (sx, s0) = (x_q.row_scale[i], x_q.row_csum[i]);
-                for (j, slot) in orow.iter_mut().enumerate() {
-                    let s1 = row_dot(w_q, j, k, xr, x16);
-                    *slot = ((s1 - half * s0) as f32) * (sx * w_q.scale(j));
-                }
-            }
+            gemm_panel(&g, i0..i0 + panel.len() / n, 0..n, panel);
         });
     }
     Ok(out)
+}
+
+/// One call's operands, shared read-only by every output panel.
+struct Gemm<'a> {
+    x_q: &'a QuantizedActivations,
+    w_q: &'a QuantizedTensor,
+    /// The centred codes re-expressed as `i16` for the W2 kernel
+    /// (lossless: `|cx| <= 255` at <= 8 activation bits); empty for W4/W8.
+    codes16: Vec<i16>,
+    k: usize,
+    half: i64,
+}
+
+impl<'a> Gemm<'a> {
+    fn new(x_q: &'a QuantizedActivations, w_q: &'a QuantizedTensor, k: usize, half: i64) -> Self {
+        let codes16 = if w_q.scheme().bits == BitWidth::W2 {
+            x_q.codes.iter().map(|&c| c as i16).collect()
+        } else {
+            Vec::new()
+        };
+        Gemm {
+            x_q,
+            w_q,
+            codes16,
+            k,
+            half,
+        }
+    }
+}
+
+/// Fills the output block `rows x cols` (row-major in `out`) through the
+/// widest instance of [`panel_body`] this CPU runs.
+fn gemm_panel(g: &Gemm<'_>, rows: Range<usize>, cols: Range<usize>, out: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if edge_llm_tensor::lanes::avx2_detected() {
+        // SAFETY: `panel_avx2` only requires that the CPU supports AVX2,
+        // which `avx2_detected` has just confirmed at run time.
+        unsafe { panel_avx2(g, rows, cols, out) };
+        return;
+    }
+    panel_portable(g, rows, cols, out);
+}
+
+/// [`panel_body`] compiled for the build's baseline target.
+fn panel_portable(g: &Gemm<'_>, rows: Range<usize>, cols: Range<usize>, out: &mut [f32]) {
+    panel_body(g, rows, cols, out);
+}
+
+/// [`panel_body`] compiled with AVX2 enabled: the same source, so the same
+/// exact integer sums and the same single f32 rescale per element.
+///
+/// # Safety
+///
+/// The CPU running this call must support AVX2
+/// ([`edge_llm_tensor::lanes::avx2_detected`] returned `true`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn panel_avx2(g: &Gemm<'_>, rows: Range<usize>, cols: Range<usize>, out: &mut [f32]) {
+    panel_body(g, rows, cols, out);
+}
+
+/// The panel loop both instances compile: for each activation row in
+/// `rows` and weight row in `cols`, the exact `S1` on the packed words and
+/// one rescale. `#[inline(always)]` down to the lane MAC, so each instance
+/// holds its own copy of the whole loop nest.
+#[inline(always)]
+fn panel_body(g: &Gemm<'_>, rows: Range<usize>, cols: Range<usize>, out: &mut [f32]) {
+    debug_assert_eq!(out.len(), rows.len() * cols.len());
+    let k = g.k;
+    for (i, orow) in rows.zip(out.chunks_exact_mut(cols.len())) {
+        let xr = g.x_q.row(i);
+        let x16 = g.codes16.get(i * k..(i + 1) * k).unwrap_or(&[]);
+        let (sx, s0) = (g.x_q.row_scale[i], g.x_q.row_csum[i]);
+        for (j, slot) in cols.clone().zip(orow) {
+            let s1 = row_dot(g.w_q, j, k, xr, x16);
+            *slot = ((s1 - g.half * s0) as f32) * (sx * g.w_q.scale(j));
+        }
+    }
 }
 
 /// Scalar oracle for [`packed_decode_matmul`]: identical validation and
@@ -301,9 +371,10 @@ fn validate(
 /// `S1 = Σ_p cx[p] * qw[j][p]` for weight row `j`, computed on the packed
 /// words: a scalar head up to the first word boundary (rows need not start
 /// word-aligned when `k % per_word != 0`), the word-lane kernel over the
-/// full words, and a scalar tail. `xr16` is the i16 image of `xr` and is
-/// `Some` exactly when the weights are W2 (the i16 fast path).
-fn row_dot(w_q: &QuantizedTensor, j: usize, k: usize, xr: &[i32], xr16: Option<&[i16]>) -> i64 {
+/// full words, and a scalar tail. `xr16` is the i16 image of `xr` for W2
+/// weights (the i16 kernel) and is not read otherwise.
+#[inline(always)]
+fn row_dot(w_q: &QuantizedTensor, j: usize, k: usize, xr: &[i32], xr16: &[i16]) -> i64 {
     let codes = w_q.codes();
     let per_word = codes.per_word();
     let start = j * k;
@@ -317,15 +388,12 @@ fn row_dot(w_q: &QuantizedTensor, j: usize, k: usize, xr: &[i32], xr16: Option<&
     let mid_end = aligned + n_words * per_word;
     if n_words > 0 {
         let words = &codes.words()[aligned / per_word..aligned / per_word + n_words];
-        let xmid = &xr[aligned - start..mid_end - start];
-        s1 += match (codes.bits(), xr16) {
-            (BitWidth::W2, Some(x16)) => {
-                dot_words_w2_i16(words, &x16[aligned - start..mid_end - start])
-            }
-            (BitWidth::W2, None) => dot_words::<16, 2>(words, xmid),
-            (BitWidth::W4, _) => dot_words::<8, 4>(words, xmid),
-            (BitWidth::W8, _) => dot_words::<4, 8>(words, xmid),
-            (BitWidth::W16, _) => unreachable!("validate() caps weights at W8"),
+        let mid = aligned - start..mid_end - start;
+        s1 += match codes.bits() {
+            BitWidth::W2 => dot_words_w2_i16(words, &xr16[mid]),
+            BitWidth::W4 => dot_words::<8, 4>(words, &xr[mid]),
+            BitWidth::W8 => dot_words::<4, 8>(words, &xr[mid]),
+            BitWidth::W16 => unreachable!("validate() caps weights at W8"),
         };
     }
     for p in mid_end..end {
@@ -338,21 +406,28 @@ fn row_dot(w_q: &QuantizedTensor, j: usize, k: usize, xr: &[i32], xr16: Option<&
 /// lanes of `BITS` bits and multiply-accumulate against the matching
 /// activation chunk. `PER` and `BITS` are compile-time so the unpack and
 /// MAC fully unroll into the dependency-free lane shape the autovectorizer
-/// turns into SIMD. The spill lives on an **outer** chunk loop rather than
-/// as a per-word counter check — a per-word `%` costs ~40% on the W2 shape.
+/// turns into SIMD. The word loop indexes `words` and `xr` directly: in
+/// the AVX2 instance a `chunks().zip(chunks_exact())` pair measured 2.4x
+/// slower at W2 and 1.3x slower at W4 (EXPERIMENTS.md §B9). The spill
+/// lives on an **outer** window loop rather than as a per-word counter
+/// check — a per-word `%` costs ~40% on the W2 shape.
+#[inline(always)]
 fn dot_words<const PER: usize, const BITS: u32>(words: &[u32], xr: &[i32]) -> i64 {
     debug_assert_eq!(words.len() * PER, xr.len());
     debug_assert_eq!(PER as u32 * BITS, 32);
     let mask: u32 = (1u64 << BITS).wrapping_sub(1) as u32;
     let mut total: i64 = 0;
-    for (wchunk, xchunk) in words.chunks(SPILL_WORDS).zip(xr.chunks(SPILL_WORDS * PER)) {
+    for w0 in (0..words.len()).step_by(SPILL_WORDS) {
         let mut lanes = [0i32; PER];
-        for (&word, xc) in wchunk.iter().zip(xchunk.chunks_exact(PER)) {
+        for w in w0..(w0 + SPILL_WORDS).min(words.len()) {
+            let word = words[w];
+            let xc: &[i32; PER] = xr[w * PER..(w + 1) * PER]
+                .try_into()
+                .expect("PER-sized chunk");
             let mut wl = [0i32; PER];
             for (l, slot) in wl.iter_mut().enumerate() {
                 *slot = ((word >> (l as u32 * BITS)) & mask) as i32;
             }
-            let xc: &[i32; PER] = xc.try_into().expect("PER-sized chunk");
             mac_i32_lanes(&mut lanes, &wl, xc);
         }
         total += lanes.iter().map(|&v| v as i64).sum::<i64>();
@@ -362,22 +437,20 @@ fn dot_words<const PER: usize, const BITS: u32>(words: &[u32], xr: &[i32]) -> i6
 
 /// The W2 fast kernel: 16 `i16` lanes per word — double the SIMD width of
 /// the `i32` shape — under the tight [`SPILL_WORDS_I16`] spill cadence.
-/// Exact integer arithmetic, so bit-identical to `dot_words::<16, 2>` and
-/// to the scalar oracle.
+/// Exact integer arithmetic, so bit-identical to the scalar oracle.
+#[inline(always)]
 fn dot_words_w2_i16(words: &[u32], xr: &[i16]) -> i64 {
     debug_assert_eq!(words.len() * 16, xr.len());
     let mut total: i64 = 0;
-    for (wchunk, xchunk) in words
-        .chunks(SPILL_WORDS_I16)
-        .zip(xr.chunks(SPILL_WORDS_I16 * 16))
-    {
+    for w0 in (0..words.len()).step_by(SPILL_WORDS_I16) {
         let mut lanes = [0i16; 16];
-        for (&word, xc) in wchunk.iter().zip(xchunk.chunks_exact(16)) {
+        for w in w0..(w0 + SPILL_WORDS_I16).min(words.len()) {
+            let word = words[w];
+            let xc: &[i16; 16] = xr[w * 16..(w + 1) * 16].try_into().expect("16-code chunk");
             let mut wl = [0i16; 16];
             for (l, slot) in wl.iter_mut().enumerate() {
                 *slot = ((word >> (l as u32 * 2)) & 3) as i16;
             }
-            let xc: &[i16; 16] = xc.try_into().expect("16-code chunk");
             mac_i16_lanes(&mut lanes, &wl, xc);
         }
         total += lanes.iter().map(|&v| v as i64).sum::<i64>();
@@ -497,6 +570,92 @@ mod tests {
         let fast = packed_decode_matmul(&x_q, &w_q, 1).unwrap();
         let oracle = packed_decode_matmul_scalar(&x_q, &w_q).unwrap();
         assert_eq!(fast.as_slice(), oracle.as_slice());
+        for (name, kernel) in instances() {
+            assert_eq!(
+                run_instance(kernel, &x_q, &w_q),
+                oracle.as_slice(),
+                "{name} instance"
+            );
+        }
+    }
+
+    type PanelFn = fn(&Gemm<'_>, Range<usize>, Range<usize>, &mut [f32]);
+
+    /// The AVX2 instance behind a safe signature, for [`instances`].
+    #[cfg(target_arch = "x86_64")]
+    fn panel_avx2_checked(g: &Gemm<'_>, rows: Range<usize>, cols: Range<usize>, out: &mut [f32]) {
+        assert!(edge_llm_tensor::lanes::avx2_detected());
+        // SAFETY: the assertion above confirmed AVX2 support at run time.
+        unsafe { panel_avx2(g, rows, cols, out) }
+    }
+
+    /// Every instance of the panel loop this CPU runs: the portable one
+    /// always, the AVX2 one when detected. `packed_decode_matmul` only
+    /// reaches the widest, so the others are tested here directly.
+    fn instances() -> Vec<(&'static str, PanelFn)> {
+        let mut v: Vec<(&'static str, PanelFn)> = vec![("portable", panel_portable)];
+        #[cfg(target_arch = "x86_64")]
+        if edge_llm_tensor::lanes::avx2_detected() {
+            v.push(("avx2", panel_avx2_checked));
+        }
+        v
+    }
+
+    /// `x · Wᵀ` through one instance, split into row and column panels
+    /// at uneven offsets so the panel indexing is exercised too.
+    fn run_instance(
+        kernel: PanelFn,
+        x_q: &QuantizedActivations,
+        w_q: &QuantizedTensor,
+    ) -> Vec<f32> {
+        let (m, k, n, half) = validate(x_q, w_q).unwrap();
+        let g = Gemm::new(x_q, w_q, k, half);
+        let mut out = vec![0.0; m * n];
+        for rows in [0..m / 2, m / 2..m] {
+            for cols in [0..n / 3, n / 3..n] {
+                if rows.is_empty() || cols.is_empty() {
+                    continue;
+                }
+                let mut block = vec![f32::NAN; rows.len() * cols.len()];
+                kernel(&g, rows.clone(), cols.clone(), &mut block);
+                for (i, brow) in rows.clone().zip(block.chunks_exact(cols.len())) {
+                    out[i * n + cols.start..i * n + cols.end].copy_from_slice(brow);
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn every_instance_matches_scalar_oracle_bitwise() {
+        // Weights x activations at every packed width, every batch size the
+        // serving engine forms, and k values that are shorter than one word
+        // (k = 3), leave rows starting mid-word, and (k = 533) cross more
+        // than one W2 i16 spill window with a ragged tail.
+        let widths = [BitWidth::W2, BitWidth::W4, BitWidth::W8];
+        let mut rng = TensorRng::seed_from(13);
+        for wbits in widths {
+            for abits in widths {
+                for m in 1..=8 {
+                    for k in [3usize, 17, 40, 67, 533] {
+                        let n = 7;
+                        let x = Tensor::randn(m, k, 1.0, &mut rng);
+                        let w = Tensor::randn(n, k, 0.3, &mut rng);
+                        let w_q =
+                            QuantizedTensor::quantize(&w, QuantScheme::symmetric(wbits)).unwrap();
+                        let x_q = quantize_activations(&x, act_scheme(abits)).unwrap();
+                        let oracle = packed_decode_matmul_scalar(&x_q, &w_q).unwrap();
+                        for (name, kernel) in instances() {
+                            assert_eq!(
+                                run_instance(kernel, &x_q, &w_q),
+                                oracle.as_slice(),
+                                "{name} instance drift: weights {wbits}, activations {abits}, {m}x{k}x{n}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -31,6 +31,28 @@ pub const LANES: usize = 8;
 /// Elements accumulated in `i32` lanes between spills to the `i64` total.
 pub const SPILL_CHUNK: usize = 4096;
 
+/// Whether this CPU runs AVX2 instructions, probed at run time.
+///
+/// The workspace builds for baseline x86-64, where every `[i32; N]` lane
+/// MAC lowers to SSE2 and the 32-bit multiply is emulated. A kernel that
+/// wants wider lanes compiles its `#[inline(always)]` body a second time
+/// inside a `#[target_feature(enable = "avx2")]` function and calls that
+/// instance only when this returns `true`: the binary stays portable and
+/// the CPU, not a build setting, picks the instance. Off x86-64 this is
+/// always `false`, so the portable instance is the only path there. The
+/// standard library caches the probe, so the call costs one load.
+#[inline]
+pub fn avx2_detected() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
 /// One lane-wise multiply-accumulate step: `acc[l] += a[l] * b[l]`.
 ///
 /// `N` is a compile-time width so the loop fully unrolls into straight-line

@@ -66,6 +66,12 @@ EDGELLM_THREADS=2 cargo test -q -p edge-llm-model --test spec_properties
 EDGELLM_THREADS=2 cargo test -q -p edge-llm-quant --test parallel_oracle
 EDGELLM_THREADS=2 cargo test -q -p edge-llm-quant --test packed_props
 
+# Run the quant oracles again on the release code generation too: it is
+# what serves tokens (including the AVX2 instance of the lane kernel), and
+# where an i16 lane overflow would wrap silently instead of panicking as
+# it does in the debug builds above.
+cargo test --release -q -p edge-llm-quant
+
 # The compressed-weight cache must never serve stale bits: run the
 # staleness suite explicitly — it mutates through every invalidation
 # path (optimizer, masks, schemes, LoRA merge, checkpoint restore) and
